@@ -1,4 +1,4 @@
-"""Kernel throughput: tuple-at-a-time vs batch vs batch-parallel execution.
+"""Kernel throughput: tuple-at-a-time vs batch execution.
 
 Runs the same partition join (by default 50 000 x 50 000 tuples, ~250 keys,
 mostly instantaneous intervals over a long lifespan, so the candidate space
@@ -40,7 +40,7 @@ from repro.core.partition_join import PartitionJoinConfig, partition_join
 from repro.exec import HAVE_NUMPY
 from repro.storage.page import PageSpec
 
-MODES = ("tuple", "batch", "batch-parallel")
+MODES = ("tuple", "batch")
 DEFAULT_OUTPUT = REPO_ROOT / "BENCH_kernels.json"
 
 
@@ -58,7 +58,6 @@ def run_benchmark(
     n_tuples: int,
     *,
     memory_pages: int = 48,
-    parallel_workers: Optional[int] = None,
     modes: Sequence[str] = MODES,
 ) -> Dict:
     r = probe_heavy_relation("works_on", n_tuples, seed=1994)
@@ -72,7 +71,6 @@ def run_benchmark(
             memory_pages=memory_pages,
             page_spec=page_spec,
             execution=mode,
-            parallel_workers=parallel_workers,
             collect_result=False,
             # A small planner grid keeps mode-independent planning time from
             # diluting the kernel comparison; all modes share the same plan.
@@ -117,7 +115,6 @@ def trace_join(
     trace_out: Path,
     *,
     memory_pages: int = 48,
-    parallel_workers: Optional[int] = None,
 ) -> Dict[str, Path]:
     """One extra *observed* batch-kernel run, exporting its trace.
 
@@ -131,7 +128,6 @@ def trace_join(
             memory_pages=memory_pages,
             page_spec=PageSpec(page_bytes=8192, tuple_bytes=16),
             execution="batch",
-            parallel_workers=parallel_workers,
             collect_result=False,
             max_plan_candidates=6,
         )
@@ -183,7 +179,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tuples", type=int, default=50_000, help="tuples per side")
     parser.add_argument("--memory-pages", type=int, default=48)
-    parser.add_argument("--workers", type=int, default=None)
     parser.add_argument("--output", type=Path, default=DEFAULT_OUTPUT)
     parser.add_argument(
         "--trace-out",
@@ -197,9 +192,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.tuples < 1:
         parser.error(f"--tuples must be >= 1, got {args.tuples}")
 
-    report = run_benchmark(
-        args.tuples, memory_pages=args.memory_pages, parallel_workers=args.workers
-    )
+    report = run_benchmark(args.tuples, memory_pages=args.memory_pages)
     for line in format_report(report):
         print(line)
     if args.trace_out is not None:
@@ -207,7 +200,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             args.tuples,
             args.trace_out,
             memory_pages=args.memory_pages,
-            parallel_workers=args.workers,
         )
         print(f"wrote {paths['trace']} and {paths['metrics']}")
     write_report(report, args.output)

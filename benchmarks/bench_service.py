@@ -288,7 +288,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--execution",
         default="batch",
-        choices=("tuple", "batch", "batch-parallel", "batch-parallel-sweep"),
+        choices=("tuple", "batch", "batch-parallel-sweep"),
     )
     parser.add_argument("--output", type=Path, default=DEFAULT_OUTPUT)
     parser.add_argument(

@@ -1,6 +1,6 @@
 """Lane supervision overhead: the supervised sweep vs the bare pool.
 
-Runs the same undisturbed zero-copy partition join (by default
+Runs the same undisturbed ``"batch-parallel-sweep"`` partition join (by default
 50 000 x 50 000 tuples, the ``harness`` probe-heavy workload under a
 48-page budget) twice per round -- once with the lane supervisor watching
 the pool (``lane_supervision=True``, the default) and once on the bare
@@ -72,7 +72,7 @@ def run_benchmark(
     base = PartitionJoinConfig(
         memory_pages=memory_pages,
         page_spec=page_spec,
-        execution="zero-copy-sweep",
+        execution="batch-parallel-sweep",
         sweep_workers=sweep_workers,
         collect_result=False,
         max_plan_candidates=6,

@@ -144,7 +144,7 @@ def _run_explain(argv: List[str]) -> int:
     parser.add_argument(
         "--execution",
         default="batch",
-        choices=("tuple", "batch", "batch-parallel", "batch-parallel-sweep", "zero-copy-sweep"),
+        choices=("tuple", "batch", "batch-parallel-sweep"),
         help="execution mode of the partition join (default batch)",
     )
     parser.add_argument(
@@ -202,7 +202,7 @@ def _run_serve(argv: List[str]) -> int:
     parser.add_argument(
         "--execution",
         default="batch",
-        choices=("tuple", "batch", "batch-parallel", "batch-parallel-sweep", "zero-copy-sweep"),
+        choices=("tuple", "batch", "batch-parallel-sweep"),
         help="partition-join execution mode (default batch)",
     )
     parser.add_argument(

@@ -62,17 +62,14 @@ def nested_loop_join(
         page_spec: page geometry (defaults to the library default).
         layout: pass to accumulate statistics across operations.
         collect_result: materialize the result relation in memory.
-        execution: ``"tuple"`` for the classic loop, ``"batch"`` (or
-            ``"batch-parallel"``, identical here) for the batch kernels.
-            I/O is unaffected either way: only in-memory matching changes.
+        execution: ``"tuple"`` for the classic loop, ``"batch"`` for the
+            batch kernels.  I/O is unaffected either way: only in-memory
+            matching changes.
     """
     if memory_pages < 3:
         raise PlanError(f"nested loops needs >= 3 buffer pages, got {memory_pages}")
-    if execution not in ("tuple", "batch", "batch-parallel"):
-        raise PlanError(
-            f"execution must be 'tuple', 'batch', or 'batch-parallel', "
-            f"got {execution!r}"
-        )
+    if execution not in ("tuple", "batch"):
+        raise PlanError(f"execution must be 'tuple' or 'batch', got {execution!r}")
     result_schema = r.schema.join_result_schema(s.schema)
     if layout is None:
         layout = DiskLayout(spec=page_spec if page_spec is not None else PageSpec())

@@ -46,9 +46,7 @@ from repro.storage.page import PageSpec
 EXECUTION_MODES: Tuple[str, ...] = (
     "tuple",
     "batch",
-    "batch-parallel",
     "batch-parallel-sweep",
-    "zero-copy-sweep",
 )
 
 #: Modes accepted by :class:`PartitionJoinConfig`: the partition modes above
@@ -89,22 +87,16 @@ class PartitionJoinConfig:
             mis-estimation caveat).
         execution: how the per-tuple compute runs.  ``"tuple"`` is the
             tuple-at-a-time oracle; ``"batch"`` routes partitioning and the
-            sweep through the batch kernels of :mod:`repro.exec`;
-            ``"batch-parallel"`` additionally fans the Grace-partitioning
-            placement out to a process pool.  All three produce identical
-            results and identical per-phase I/O statistics.
-            ``"batch-parallel-sweep"`` adds the pipelined sweep: the
-            interval-pruned lane-parallel probe of
-            :mod:`repro.exec.sweep_parallel` plus partition-barrier page
-            prefetch and write-behind -- still bit-identical results and
-            counters, with the pipeline's I/O share tagged on the
-            statistics; see ``docs/EXECUTION.md``.  ``"zero-copy-sweep"``
-            is the pipelined sweep on the zero-copy transport: columnar
-            pages probed as buffer views, lane fan-out through a
-            shared-memory column arena with preallocated result slabs,
-            and auxiliary buffers sized jointly by the
-            :mod:`repro.planner.multibuffer` pass -- identical results
-            and charged I/O again; only in-memory copy traffic changes.
+            sweep through the batch kernels of :mod:`repro.exec`.  Both
+            produce identical results and identical per-phase I/O
+            statistics.  ``"batch-parallel-sweep"`` stores its inputs in
+            the columnar page layout, routes Grace partitioning by column,
+            and runs the pipelined sweep: the interval-pruned lane-parallel
+            probe of :mod:`repro.exec.sweep_parallel` (pickled lanes on a
+            process pool) plus partition-barrier page prefetch and
+            write-behind -- still bit-identical results and counters, with
+            the pipeline's I/O share tagged on the statistics; see
+            ``docs/EXECUTION.md``.
             ``"forward-sweep"`` is the endpoint-sorted forward-scan sweep
             operator of :mod:`repro.exec.forward_sweep`: no sampling, no
             partitioning -- one merged scan with gapless active maps (plus
@@ -115,9 +107,6 @@ class PartitionJoinConfig:
             :mod:`repro.algebra.predicates` registry name.  The partition
             executions support only the natural join (``"intersects"``);
             every other predicate requires ``execution="forward-sweep"``.
-        parallel_workers: process-pool size for ``"batch-parallel"``'s
-            partitioning phase (None picks a machine-dependent default; the
-            result never depends on the pool size).
         prefetch_depth: pages the sweep's prefetcher reads ahead per
             partition barrier (``"batch-parallel-sweep"`` only; 0 disables
             read-ahead while keeping write-behind).
@@ -174,7 +163,6 @@ class PartitionJoinConfig:
     sample_inner_relation: bool = False
     execution: str = "tuple"
     predicate: str = NATURAL_PREDICATE
-    parallel_workers: Optional[int] = None
     prefetch_depth: int = 8
     sweep_workers: Optional[int] = None
     lane_supervision: bool = True
@@ -228,11 +216,6 @@ class PartitionJoinConfig:
                     "forward-sweep ignores the outer buffer area; "
                     "buffer_reductions only apply to partition executions"
                 )
-        if self.parallel_workers is not None and self.parallel_workers < 1:
-            raise ValueError(
-                f"parallel_workers must be >= 1 (or None for the default), "
-                f"got {self.parallel_workers}"
-            )
         if not isinstance(self.prefetch_depth, int) or self.prefetch_depth < 0:
             raise ValueError(
                 f"prefetch_depth must be an integer >= 0, got {self.prefetch_depth!r}"
@@ -422,12 +405,13 @@ def partition_join(
     """
     result_schema = r.schema.join_result_schema(s.schema)
     if layout is None:
-        # The zero-copy mode stores pages in the packed columnar layout so
-        # the batch kernels probe buffer views; the layout is readable by
-        # every mode and changes no charged I/O (page counts are identical).
+        # The lane sweep and the forward sweep store pages in the packed
+        # columnar layout so the kernels probe buffer views; the layout is
+        # readable by every mode and changes no charged I/O (page counts
+        # are identical).
         layout = DiskLayout(
             spec=config.page_spec,
-            columnar=(config.execution in ("zero-copy-sweep", "forward-sweep")),
+            columnar=(config.execution in ("batch-parallel-sweep", "forward-sweep")),
         )
     if config.retry_limit is not None:
         layout.disk.retry_policy = RetryPolicy(
@@ -540,7 +524,6 @@ def partition_join(
                 config.memory_pages,
                 placement=placement,
                 execution=config.execution,
-                parallel_workers=config.parallel_workers,
                 obs=obs,
             )
             layout.disk.park_heads()
@@ -552,7 +535,6 @@ def partition_join(
                 config.memory_pages,
                 placement=placement,
                 execution=config.execution,
-                parallel_workers=config.parallel_workers,
                 obs=obs,
             )
         layout.disk.park_heads()
@@ -561,9 +543,6 @@ def partition_join(
         if config.checkpoint_interval > 0:
             checkpointer = SweepCheckpointer(layout, recovery, config.checkpoint_interval)
 
-        multibuffer_plan = _multibuffer_for(
-            config, r_file.n_pages, s_file.n_pages, buff_size, obs=obs
-        )
         with _phase(tracker, obs, "join"):
             outcome = join_partitions(
                 r_parts,
@@ -581,7 +560,6 @@ def partition_join(
                 sweep_workers=config.sweep_workers,
                 supervision=config.supervision_policy(),
                 interner=interner,
-                multibuffer_plan=multibuffer_plan,
                 pool=pool,
                 checkpointer=checkpointer,
                 buffer_reductions=config.buffer_reductions,
@@ -603,42 +581,6 @@ def partition_join(
             outcome=outcome, plan=plan, layout=layout, recovery=recovery,
             observability=obs,
         )
-
-
-def _multibuffer_for(
-    config: PartitionJoinConfig,
-    outer_pages: int,
-    inner_pages: int,
-    buff_size: int,
-    *,
-    obs: Optional[Observability] = None,
-):
-    """The zero-copy sweep's auxiliary-buffer plan (None for other modes)."""
-    if config.execution != "zero-copy-sweep":
-        return None
-    from repro.exec.sweep_parallel import effective_sweep_workers
-    from repro.planner.multibuffer import plan_multibuffer
-
-    plan = plan_multibuffer(
-        outer_pages,
-        inner_pages,
-        buff_size,
-        config.page_spec,
-        lanes=effective_sweep_workers(config.sweep_workers),
-        prefetch_depth=config.prefetch_depth,
-    )
-    if obs is not None:
-        obs.event(
-            "multibuffer-plan",
-            lanes=plan.lanes,
-            prefetch_depth=plan.prefetch_depth,
-            prefetch_pages=plan.prefetch_pages,
-            arena_pages=plan.arena_pages,
-            slab_rows=plan.slab_rows,
-            slab_pages=plan.slab_pages,
-            total_aux_pages=plan.total_aux_pages,
-        )
-    return plan
 
 
 def _forward_sweep_eval(
@@ -781,19 +723,6 @@ def resume_join(
     if getattr(context, "swapped", False):
         def effective_pair(x, y, common, _pair_fn=pair_fn):
             return _pair_fn(y, x, common)
-    # Shared-memory segments died with the crashed process; rebuild the
-    # multi-buffer plan from the checkpointed geometry so the resumed sweep
-    # allocates fresh segments of exactly the original shape.
-    resumed_plan = None
-    if getattr(context, "arena", None) is not None:
-        from repro.planner.multibuffer import MultiBufferPlan
-
-        resumed_plan = MultiBufferPlan.from_descriptor(
-            context.arena,
-            prefetch_depth=context.prefetch_depth,
-            buff_size=context.buff_size,
-            spec=config.page_spec,
-        )
     try:
         with _phase(layout.tracker, obs, "join"):
             outcome = join_partitions(
@@ -811,7 +740,6 @@ def resume_join(
                 prefetch_depth=context.prefetch_depth,
                 sweep_workers=context.sweep_workers,
                 supervision=config.supervision_policy(),
-                multibuffer_plan=resumed_plan,
                 pool=pool,
                 checkpointer=checkpointer,
                 resume_from=recovery.checkpoint,
@@ -1038,9 +966,6 @@ def _single_partition_join(
     if config.checkpoint_interval > 0 and recovery is not None:
         checkpointer = SweepCheckpointer(layout, recovery, config.checkpoint_interval)
 
-    multibuffer_plan = _multibuffer_for(
-        config, outer_file.n_pages, inner_file.n_pages, allocation.buff_size, obs=obs
-    )
     with _phase(layout.tracker, obs, "join"):
         outcome = join_partitions(
             [outer_file],
@@ -1056,7 +981,6 @@ def _single_partition_join(
             sweep_workers=config.sweep_workers,
             supervision=config.supervision_policy(),
             interner=interner,
-            multibuffer_plan=multibuffer_plan,
             pool=pool,
             checkpointer=checkpointer,
             buffer_reductions=config.buffer_reductions,

@@ -8,12 +8,11 @@ package is how the same algorithms run fast.  Three pieces:
 * :mod:`repro.exec.kernels` -- the probe / intersection / owner-filter /
   migration / locate kernels, numpy-vectorized with pure-Python fallbacks
   selected at import (numpy is the optional ``repro[fast]`` extra);
-* :mod:`repro.exec.parallel` -- multiprocessing placement for Grace
-  partitioning, with all charged I/O replayed deterministically by the
-  parent process.
+* :mod:`repro.exec.sweep_parallel` -- the interval-pruned probe of the
+  pipelined sweep, fanned out over key-group lanes on a process pool.
 
 Algorithms select a path via ``PartitionJoinConfig.execution``
-(``"tuple"`` | ``"batch"`` | ``"batch-parallel"``); see
+(``"tuple"`` | ``"batch"`` | ``"batch-parallel-sweep"``); see
 ``docs/EXECUTION.md`` for the layout and determinism rules.
 
 :mod:`repro.exec.forward_sweep` is the odd one out: not a faster path
@@ -37,7 +36,6 @@ from repro.exec.kernels import (
     PythonKernels,
     get_kernels,
 )
-from repro.exec.parallel import default_workers, locate_partitions_parallel
 
 # The forward sweep operates on storage.columnar_page buffers, and the
 # storage layer imports repro.exec.backend -- so re-export it lazily
@@ -72,10 +70,8 @@ __all__ = [
     "PartitionBoundaries",
     "PythonKernels",
     "backend_name",
-    "default_workers",
     "get_kernels",
     "iter_page_batches",
-    "locate_partitions_parallel",
     "tuples_from_columns",
     "tuples_to_columns",
 ]

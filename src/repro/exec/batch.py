@@ -295,7 +295,7 @@ class CodeTranslator:
 
 
 class ColumnarBlock(Sequence):
-    """An outer block kept as columnar page segments (zero-copy sweep).
+    """An outer block kept as columnar page segments (columnar lane sweep).
 
     Logically this is exactly the ``List[VTTuple]`` the row-oriented joiner
     assembles -- same rows, same order -- but the rows stay packed: the

@@ -28,9 +28,9 @@ group.  This module exploits that twice:
   each returns flat pair arrays, the parent concatenates and applies the
   final emission sort, so the output is a pure function of the input
   whatever the lane count or pool geometry.  With >= 2 effective workers
-  the lanes run on a ``multiprocessing`` pool; pool failure of any kind
-  degrades to in-process execution of the identical computation, mirroring
-  :mod:`repro.exec.parallel`.
+  the lanes run as pickled tasks on a ``multiprocessing`` pool; pool
+  failure of any kind degrades to in-process execution of the identical
+  computation.
 
 All charged I/O stays in the caller (the sweep loop and its prefetch
 pipeline); like the PR-1 kernels, everything here is pure in-memory
@@ -48,13 +48,8 @@ from repro.exec.backend import HAVE_NUMPY, np
 from repro.exec.batch import CodeTranslator
 from repro.exec.kernels import Kernels, Match, get_kernels
 from repro.model.vtuple import VTTuple
-from repro.resilience.supervisor import LANE_POOL_ERRORS
+from repro.resilience.supervisor import LANE_POOL_ERRORS, new_lane_pool
 from repro.time.interval import Interval
-
-#: Arena geometry used when no multibuffer plan is supplied: one generous
-#: data arena and per-lane slabs sized for a full page's worth of matches.
-DEFAULT_ARENA_BYTES = 1 << 22
-DEFAULT_SLAB_ROWS = 1 << 16
 
 #: Pairs-per-page threshold below which lanes always run in-process: pool
 #: round-trip latency costs more than the probe itself.
@@ -226,17 +221,16 @@ def probe_pruned(
     *,
     lanes: int = 1,
     pool=None,
-    dispatch=None,
 ) -> Tuple:
     """Probe one inner page's columns against a pruned index.
 
     Returns ``(pair_outer_rows, pair_inner_rows, common_starts,
     common_ends)`` in the oracle's emission order -- (inner row, outer
-    block insertion order) -- as flat arrays.  ``lanes``/``pool`` control
-    the fan-out; *dispatch* (a ``dispatch(shared, lane_tasks)`` callable,
-    e.g. an :class:`~repro.exec.arena.ShmLaneDispatcher`) replaces the raw
-    ``pool.map`` when given.  The output is identical for every lane
-    count and for every fan-out flavor, pool or in-process.
+    block insertion order) -- as flat arrays.  ``lanes`` sets the fan-out;
+    *pool* (anything with ``map(fn, tasks)``: a process pool or a
+    :class:`~repro.resilience.supervisor.LaneSupervisor`) runs the pickled
+    lane tasks, in-process when None.  The output is identical for every
+    lane count, pool or in-process.
     """
     empty = np.empty(0, np.int64)
     n = int(key_ids.shape[0]) if hasattr(key_ids, "shape") else len(key_ids)
@@ -272,9 +266,7 @@ def probe_pruned(
                 lane_tasks.append(
                     (g[members], rows[members], i_starts[members], i_ends[members])
                 )
-        if dispatch is not None:
-            parts = dispatch(shared, lane_tasks)
-        elif pool is not None:
+        if pool is not None:
             parts = pool.map(_lane_task, [shared + task for task in lane_tasks])
         else:
             parts = [_lane_pairs(*shared, *task) for task in lane_tasks]
@@ -392,9 +384,7 @@ class PipelinedSweepEngine:
         workers: Optional[int] = None,
         kernels: Optional[Kernels] = None,
         obs=None,
-        zero_copy: bool = False,
         interner=None,
-        arena_plan=None,
         supervisor=None,
         report=None,
     ) -> None:
@@ -417,12 +407,6 @@ class PipelinedSweepEngine:
         self._pool_broken = self._kernels.use_numpy is False  # lanes ship arrays
         self.pool_dispatches = 0
         self.pool_fallbacks = 0
-        #: Fan the lanes out through shared-memory arenas instead of pickled
-        #: ``pool.map`` tasks (the ``"zero-copy-sweep"`` mode).
-        self.zero_copy = zero_copy
-        self._arena_plan = arena_plan
-        self._arena_broken = False
-        self._dispatcher = None
         # Observation only (trace events on pool lifecycle transitions);
         # the probe computation never consults it.
         self._obs = obs
@@ -450,7 +434,7 @@ class PipelinedSweepEngine:
             return pool
         if self._pool is None and not self._pool_broken and self.lanes >= 2:
             try:
-                self._pool = multiprocessing.get_context().Pool(processes=self.lanes)
+                self._pool = new_lane_pool(self.lanes)
                 if self._obs is not None:
                     self._obs.event("pool-start", lanes=self.lanes)
             except LANE_POOL_ERRORS:
@@ -467,86 +451,8 @@ class PipelinedSweepEngine:
         if self._report is not None:
             self._report.record_degradation(kind, detail)
 
-    def _ensure_dispatcher(self, pool):
-        """The fan-out dispatcher for *pool* (created lazily, like the pool).
-
-        Zero-copy mode gets a shared-memory dispatcher, falling back to the
-        metered pickling dispatcher when segments cannot be created (e.g.
-        no ``/dev/shm`` in a sandbox); the classic mode always gets the
-        metered pickling dispatcher.  Either way the computation -- and
-        thus the result -- is identical.
-        """
-        from repro.exec import arena as arena_mod
-
-        if self._dispatcher is not None:
-            return self._dispatcher
-        if self.zero_copy and not self._arena_broken:
-            plan = self._arena_plan
-            try:
-                self._dispatcher = arena_mod.ShmLaneDispatcher(
-                    pool,
-                    data_bytes=(
-                        plan.data_bytes if plan is not None else DEFAULT_ARENA_BYTES
-                    ),
-                    slab_rows=(
-                        plan.slab_rows if plan is not None else DEFAULT_SLAB_ROWS
-                    ),
-                    lanes=self.lanes,
-                    supervisor=self.supervision,
-                )
-                if self._obs is not None:
-                    desc = self._dispatcher.descriptor
-                    self._obs.event(
-                        "arena-start",
-                        data_bytes=desc.data_bytes,
-                        slab_rows=desc.slab_rows,
-                        lanes=desc.lanes,
-                    )
-                return self._dispatcher
-            except Exception:
-                self._arena_broken = True
-                self._degrade("arena-fallback", "shared segments could not be created")
-                if self._obs is not None:
-                    self._obs.event("arena-fallback", reason="segment-create-failed")
-        self._dispatcher = arena_mod.PickledLaneDispatcher(
-            pool, supervisor=self.supervision
-        )
-        return self._dispatcher
-
-    @property
-    def arena_descriptor(self):
-        """Checkpointable arena geometry, or None when no arena is live."""
-        dispatcher = self._dispatcher
-        if dispatcher is None or not hasattr(dispatcher, "descriptor"):
-            return None
-        return dispatcher.descriptor
-
-    def copy_traffic(self) -> Dict[str, int]:
-        """Serialization/copy counters of the active fan-out (for obs)."""
-        dispatcher = self._dispatcher
-        return {
-            "bytes_pickled": getattr(dispatcher, "bytes_pickled", 0),
-            "bytes_shared": getattr(dispatcher, "bytes_shared", 0),
-            "arena_overflows": getattr(dispatcher, "arena_overflows", 0),
-            "slab_overflows": getattr(dispatcher, "slab_overflows", 0),
-            "slab_poisoned": getattr(dispatcher, "slab_poisoned", 0),
-        }
-
     def close(self) -> None:
-        """Shut the lane pool down (idempotent; the sweep's finally calls it).
-
-        Also unlinks the shared-memory arenas, so the segments' lifetime is
-        bounded by the join on every path -- success, crash unwinding, and
-        pool-degradation all funnel here.  Under supervision the segments
-        are additionally registered as supervisor teardowns, so closing the
-        supervisor reclaims them too.
-        """
-        if self._dispatcher is not None:
-            try:
-                self._dispatcher.close()
-            except Exception:
-                pass
-            self._dispatcher = None
+        """Shut the lane pool down (idempotent; the sweep's finally calls it)."""
         if self.supervision is not None:
             self.supervision.close()
         if self._pool is not None:
@@ -600,7 +506,10 @@ class PipelinedSweepEngine:
                 index_obj.fallback, batch, self._boundaries, part_index, self._direction
             )
         pool = self._ensure_pool() if self.lanes >= 2 else None
-        dispatch = self._ensure_dispatcher(pool) if pool is not None else None
+        if pool is not None and self.supervision is not None:
+            # The supervisor's map adds crash/hang recovery on top of the
+            # pool's.
+            pool = self.supervision
         try:
             pair_outer, pair_inner, cs, ce = probe_pruned(
                 index_obj,
@@ -612,7 +521,6 @@ class PipelinedSweepEngine:
                 self._direction,
                 lanes=self.lanes if pool is not None else 1,
                 pool=pool,
-                dispatch=dispatch,
             )
             if pool is not None:
                 self.pool_dispatches += 1

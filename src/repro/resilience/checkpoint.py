@@ -64,12 +64,6 @@ class SweepContext:
     #: defaults keep pre-pipeline recovery logs readable.
     prefetch_depth: int = 8
     sweep_workers: Optional[int] = None
-    #: Zero-copy sweep arena geometry (an
-    #: :class:`~repro.exec.arena.ArenaDescriptor`, or None for the other
-    #: modes).  Geometry only -- shared-memory segments are volatile and die
-    #: with the process; resume recreates fresh segments of the same shape
-    #: so the restarted run degrades (or not) exactly like the original.
-    arena: Optional[Any] = None
     #: True when ``r_parts``/``s_parts`` hold the inputs in *swapped*
     #: orientation (the single-partition shortcut makes the smaller relation
     #: the outer side).  Resume must re-apply the same argument flip to its

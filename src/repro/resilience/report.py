@@ -24,12 +24,11 @@ class DegradationEvent:
             planner re-ran with a smaller ``partSize``),
             ``"buffer-reduction"`` (the budget shrank mid-sweep, the outer
             block was split -- the Section 3.4 overflow machinery),
-            ``"pool-fallback"`` / ``"arena-fallback"`` (a worker pool or
-            shared segment could not be used; the identical computation ran
-            in-process / over pickled chunks), or one of the lane
+            ``"pool-fallback"`` (a worker pool could not be used; the
+            identical computation ran in-process), or one of the lane
             supervisor's ``"lane-*"`` kinds (``lane-death``, ``lane-hang``,
-            ``lane-error``, ``lane-poison``, ``lane-quarantine``,
-            ``lane-retired`` -- see :mod:`repro.resilience.supervisor`).
+            ``lane-error``, ``lane-quarantine``, ``lane-retired`` -- see
+            :mod:`repro.resilience.supervisor`).
             The ``lane-`` prefix is load-bearing: the service keeps
             lane-disturbed runs out of its result cache by that prefix.
         detail: human-readable description.

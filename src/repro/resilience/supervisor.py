@@ -1,6 +1,6 @@
 """Lane supervision: heartbeats, deterministic re-dispatch, and quarantine.
 
-The pipelined sweeps fan pure-compute probe work out to a
+The pipelined sweep fans pure-compute probe work out to a
 ``multiprocessing`` pool.  Before this module, a dying or hung worker was
 swallowed by blanket ``except Exception`` fallbacks -- the sweep silently
 reran everything serially, unobserved and untested.  The
@@ -15,9 +15,6 @@ dispatch that makes every failure mode explicit:
   (:attr:`SupervisionPolicy.lane_timeout_seconds`); progress is sampled on
   a heartbeat and intervals without a newly completed lane are counted as
   heartbeat misses.
-* **Poisoned lanes** -- shared-memory result slabs that fail CRC/sequence
-  validation -- are reported by the arena dispatcher through
-  :meth:`LaneSupervisor.note_poison`.
 
 Recovery is **deterministic re-dispatch**: lane tasks are pure functions of
 their inputs (``group_rank % lanes`` fan-out, no I/O, no shared mutable
@@ -44,6 +41,7 @@ result cache and to trip its circuit breaker).
 from __future__ import annotations
 
 import multiprocessing
+import multiprocessing.pool
 import os
 import pickle
 import signal
@@ -151,7 +149,6 @@ class LaneSupervisionStats:
     deaths: int = 0
     hangs: int = 0
     errors: int = 0
-    poisoned: int = 0
     heartbeat_misses: int = 0
     redispatches: int = 0
     quarantines: int = 0
@@ -163,7 +160,6 @@ class LaneSupervisionStats:
             "deaths": self.deaths,
             "hangs": self.hangs,
             "errors": self.errors,
-            "poisoned": self.poisoned,
             "heartbeat_misses": self.heartbeat_misses,
             "redispatches": self.redispatches,
             "quarantines": self.quarantines,
@@ -172,7 +168,19 @@ class LaneSupervisionStats:
 
     @property
     def failures(self) -> int:
-        return self.deaths + self.hangs + self.errors + self.poisoned
+        return self.deaths + self.hangs + self.errors
+
+
+def new_lane_pool(processes: int):
+    """A ``multiprocessing`` pool of *processes* lane workers.
+
+    Raises OSError inside a daemonic process (a shard worker), which may
+    not fork children; callers treat that like any refused spawn and run
+    the lanes in-process.
+    """
+    if multiprocessing.current_process().daemon:
+        raise OSError("a daemonic process cannot fork lane workers")
+    return multiprocessing.get_context().Pool(processes=processes)
 
 
 def _wedged_lane(args):
@@ -187,6 +195,34 @@ def _wedged_lane(args):
     return fn(task)
 
 
+def _kill_workers(pool) -> None:
+    """SIGKILL and reap every worker of a broken pool.
+
+    The pool's worker handler replaces dead workers on its own, so it is
+    stopped first -- a replacement spawned after the kill would otherwise
+    outlive the pool, blocked on the poisoned task-queue lock.  Killed
+    workers are reaped here too, so none lingers as a zombie when the
+    stdlib teardown wedges.
+    """
+    handler = getattr(pool, "_worker_handler", None)
+    if handler is not None:
+        handler._state = multiprocessing.pool.TERMINATE
+        try:
+            pool._change_notifier.put(None)  # wake the handler's wait
+        except (AttributeError, OSError):
+            pass
+        handler.join(timeout=1.0)
+    procs = [p for p in (getattr(pool, "_pool", None) or []) if p is not None]
+    for proc in procs:
+        try:
+            if proc.exitcode is None:
+                os.kill(proc.pid, signal.SIGKILL)
+        except OSError:
+            pass
+    for proc in procs:
+        proc.join(timeout=1.0)
+
+
 class LaneSupervisor:
     """Supervised ``map`` over a lane pool the supervisor owns.
 
@@ -194,15 +230,12 @@ class LaneSupervisor:
         lanes: initial lane count (< 2 means in-process from the start).
         policy: supervision bounds (None = defaults).
         injector: optional :class:`~repro.resilience.faults.FaultInjector`;
-            its ``on_lane_dispatch``/``on_slab_gather`` scripts drive the
-            chaos tests.  The process-global injector installed via
+            its ``on_lane_dispatch`` script drives the chaos tests.  The
+            process-global injector installed via
             :func:`install_lane_injector` is consulted as well.
         report: optional :class:`~repro.resilience.report.ResilienceReport`
             receiving ``lane-*`` degradation events.
         obs: optional observability runtime for metrics and events.
-        initializer / initargs: forwarded to the pool (and run once
-            in-process when the pool cannot be used, so initializer-
-            dependent task functions keep working in the fallback).
     """
 
     def __init__(
@@ -213,8 +246,6 @@ class LaneSupervisor:
         injector=None,
         report=None,
         obs=None,
-        initializer: Optional[Callable] = None,
-        initargs: Tuple = (),
     ) -> None:
         self.policy = policy if policy is not None else SupervisionPolicy()
         self.lanes = max(1, int(lanes))
@@ -222,14 +253,10 @@ class LaneSupervisor:
         self._injector = injector
         self._report = report
         self._obs = obs
-        self._initializer = initializer
-        self._initargs = initargs
-        self._init_done = False
         self._pool = None
         self._retired = False
         self._spawn_failed = False
         self._consecutive = 0
-        self._teardowns: List[Callable[[], None]] = []
         self._closed = False
 
     # -- lifecycle -----------------------------------------------------------
@@ -239,26 +266,13 @@ class LaneSupervisor:
         """True once the supervisor gave up on pools for good."""
         return self._retired or self._spawn_failed or self._closed
 
-    def add_teardown(self, closer: Callable[[], None]) -> None:
-        """Register a resource closed with the supervisor (idempotent safe).
-
-        The arena dispatchers register here, so shared-memory segments are
-        reclaimed on the supervisor-owned teardown path even when a lane
-        died mid-gather and the engine's unwind is abnormal.
-        """
-        self._teardowns.append(closer)
-
     def ensure_pool(self):
         """The live lane pool, or None when work must run in-process."""
         if self.retired or self.lanes < 2:
             return None
         if self._pool is None:
             try:
-                self._pool = multiprocessing.get_context().Pool(
-                    processes=self.lanes,
-                    initializer=self._initializer,
-                    initargs=self._initargs,
-                )
+                self._pool = new_lane_pool(self.lanes)
                 if self._obs is not None:
                     self._obs.event("lane-pool-start", lanes=self.lanes)
             except LANE_POOL_ERRORS:
@@ -273,16 +287,10 @@ class LaneSupervisor:
         return self._pool
 
     def close(self) -> None:
-        """Run registered teardowns and discard the pool (idempotent)."""
+        """Discard the pool and retire the supervisor (idempotent)."""
         if self._closed:
             return
         self._closed = True
-        teardowns, self._teardowns = self._teardowns, []
-        for closer in teardowns:
-            try:
-                closer()
-            except Exception:
-                pass
         self._discard_pool()
 
     def _discard_pool(self, *, broken: bool = False) -> None:
@@ -303,12 +311,7 @@ class LaneSupervisor:
         if pool is None:
             return
         if broken:
-            for proc in list(getattr(pool, "_pool", None) or []):
-                try:
-                    if proc is not None and proc.exitcode is None:
-                        os.kill(proc.pid, signal.SIGKILL)
-                except OSError:
-                    pass
+            _kill_workers(pool)
 
         def teardown() -> None:
             try:
@@ -340,9 +343,6 @@ class LaneSupervisor:
         while True:
             pool = self.ensure_pool()
             if pool is None:
-                if self._initializer is not None and not self._init_done:
-                    self._initializer(*self._initargs)
-                    self._init_done = True
                 return [fn(task) for task in tasks]
             self.stats.dispatches += 1
             fault = self._scripted_lane_fault()
@@ -427,7 +427,7 @@ class LaneSupervisor:
         """Account one failed dispatch and prepare the re-dispatch.
 
         The pool is discarded wholesale: any worker of a failed dispatch
-        may hold stale state (a wedged task, a half-written slab), and lane
+        may hold stale state (a wedged task), and lane
         tasks are cheap pure compute, so a fresh pool is both the safe and
         the simple recovery.  The caller's loop then re-runs every task of
         the dispatch -- results of an aborted dispatch are never trusted,
@@ -447,21 +447,6 @@ class LaneSupervisor:
         if self._obs is not None:
             self._obs.count(metric, "Supervised lane failures by kind.")
         self._charge_failure(f"lane-{kind}", f"{failure} (dispatch {self.stats.dispatches}, {label})")
-
-    def note_poison(self, detail: str) -> None:
-        """Account a poisoned result slab (CRC/sequence validation failed).
-
-        Called by the arena dispatcher, which re-computes the dispatch
-        through the pickled transport itself; the supervisor records the
-        event, charges the backoff, and walks the quarantine ladder.
-        """
-        self.stats.poisoned += 1
-        if self._obs is not None:
-            self._obs.count(
-                "repro_lane_poisoned_total",
-                "Result slabs that failed CRC/sequence validation.",
-            )
-        self._charge_failure("lane-poison", detail)
 
     def _charge_failure(self, kind: str, detail: str) -> None:
         self._consecutive += 1
@@ -532,14 +517,6 @@ class LaneSupervisor:
                     return fault
         return None
 
-    def scripted_slab_poison(self, gather_no: int) -> bool:
-        """Whether a scripted slab corruption targets gather *gather_no*."""
-        for injector in (self._injector, _GLOBAL_LANE_INJECTOR):
-            hook = getattr(injector, "on_slab_gather", None)
-            if hook is not None and hook(gather_no):
-                return True
-        return False
-
 
 __all__ = [
     "LANE_POOL_ERRORS",
@@ -548,4 +525,5 @@ __all__ = [
     "SupervisionPolicy",
     "clear_lane_injector",
     "install_lane_injector",
+    "new_lane_pool",
 ]

@@ -59,19 +59,20 @@ from repro.service.admission import AdmissionController
 from repro.service.breaker import LaneCircuitBreaker
 from repro.service.cache import CachedJoin, InternerCache, PlanCache, ResultCache
 from repro.service.executor import QueryExecutor, QueryHandle
-from repro.service.session import Rows, Session, SessionConfig, coerce_rows
+from repro.service.session import (
+    JOIN_METHODS,
+    Rows,
+    Session,
+    SessionConfig,
+    coerce_rows,
+    resolve_session_config,
+)
 from repro.storage.buffer import BufferPool
 from repro.storage.iostats import CostModel
 from repro.storage.page import PageSpec
 
 #: Queue-wait histogram bounds, in seconds.
 QUEUE_WAIT_BUCKETS = (0.0005, 0.002, 0.01, 0.05, 0.2, 1.0, 5.0, 30.0)
-
-_JOIN_METHODS = ("auto", "partition", "sweep", "sort_merge", "nested_loop")
-
-#: Execution modes that spawn worker lanes (and hence feed the lane breaker).
-_LANE_MODES = ("batch-parallel", "batch-parallel-sweep", "zero-copy-sweep")
-
 
 @dataclass(frozen=True)
 class ServiceQueryResult:
@@ -264,33 +265,7 @@ class QueryService:
         :class:`~repro.service.session.SessionConfig`)."""
         if self._closed:
             raise ServiceError("service is closed")
-        if config is None:
-            config = SessionConfig(**overrides)
-        elif overrides:
-            config = dataclasses.replace(config, **overrides)
-        if config.execution is not None and config.execution not in ALL_EXECUTION_MODES:
-            raise ServiceError(
-                f"execution must be one of {ALL_EXECUTION_MODES}, "
-                f"got {config.execution!r}"
-            )
-        if config.method not in _JOIN_METHODS:
-            raise ServiceError(
-                f"method must be one of {_JOIN_METHODS}, got {config.method!r}"
-            )
-        if config.predicate is not None:
-            try:
-                resolve_predicate(config.predicate)
-            except ValueError as error:
-                raise ServiceError(str(error)) from None
-        if config.memory_pages is not None and config.memory_pages < 4:
-            raise ServiceError(
-                f"memory_pages must be >= 4, got {config.memory_pages}"
-            )
-        if config.deadline_seconds is not None and config.deadline_seconds <= 0:
-            raise ServiceError(
-                f"deadline_seconds must be positive (or None), "
-                f"got {config.deadline_seconds}"
-            )
+        config = resolve_session_config(config, overrides)
         with self._sessions_lock:
             if len(self._sessions) >= self.max_sessions:
                 raise ServiceError(
@@ -370,9 +345,9 @@ class QueryService:
         if self._closed:
             raise ServiceError("service is closed")
         effective_method = method if method is not None else session.config.method
-        if effective_method not in _JOIN_METHODS:
+        if effective_method not in JOIN_METHODS:
             raise ServiceError(
-                f"method must be one of {_JOIN_METHODS}, got {effective_method!r}"
+                f"method must be one of {JOIN_METHODS}, got {effective_method!r}"
             )
         predicate = self._session_predicate(session)
         if predicate != NATURAL_PREDICATE and effective_method not in ("auto", "sweep"):
@@ -500,9 +475,6 @@ class QueryService:
                 inner_pages,
                 config.memory_pages,
                 execution=config.execution,
-                spec=config.page_spec,
-                lanes=config.sweep_workers,
-                prefetch_depth=config.prefetch_depth,
             )
         else:
             request = config.memory_pages
@@ -594,9 +566,6 @@ class QueryService:
                     self.page_spec.pages_for_tuples(len(s)),
                     config.memory_pages,
                     execution=config.execution,
-                    spec=config.page_spec,
-                    lanes=config.sweep_workers,
-                    prefetch_depth=config.prefetch_depth,
                 )
             )
             # ...but a cached plan must key on the *effective* budget, so a
@@ -606,7 +575,7 @@ class QueryService:
                 if granted_pages >= config.memory_pages
                 else dataclasses.replace(config, memory_pages=granted_pages)
             )
-            if config.execution in _LANE_MODES:
+            if config.execution == "batch-parallel-sweep":
                 # The lane circuit breaker decides pooled-vs-serial BEFORE
                 # the plan-cache lookup: a serial run plans identically (the
                 # plan never depends on lane count) but must not spawn the
@@ -617,7 +586,6 @@ class QueryService:
                 if not use_lanes:
                     effective_config = dataclasses.replace(
                         effective_config,
-                        parallel_workers=1,
                         sweep_workers=1,
                         lane_supervision=False,
                     )
@@ -664,7 +632,7 @@ class QueryService:
                 event.kind.startswith("lane-")
                 for event in run.resilience.degradations
             )
-            if config.execution in _LANE_MODES:
+            if config.execution == "batch-parallel-sweep":
                 self.lane_breaker.record(use_lanes, lane_disturbed)
                 self._gauge_breaker()
                 if lane_disturbed:

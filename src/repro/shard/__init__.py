@@ -12,7 +12,7 @@ pieces (see ``docs/SHARDING.md``):
   in the :class:`~repro.engine.catalog.VersionedCatalog` so snapshots stay
   epoch-consistent across shards;
 * :mod:`repro.shard.transport` -- the length-prefixed, CRC-checked socket
-  frames carrying query fragments out and arena-descriptor-shaped column
+  frames carrying query fragments out and span-described column
   results back (JSON column spans with the PR-6 pickled fallback as the
   degradation rung);
 * :mod:`repro.shard.worker` -- the shard worker process: its own

@@ -59,14 +59,20 @@ from repro.engine.catalog import (
     analyze,
 )
 from repro.engine.optimizer import choose_algorithm
-from repro.model.errors import ServiceError
+from repro.model.errors import QueryDeadlineError, ServiceError
 from repro.model.relation import ValidTimeRelation
 from repro.obs import Observability, ObservabilityConfig
 from repro.resilience.report import ResilienceReport
 from repro.resilience.supervisor import SupervisionPolicy
 from repro.service.executor import QueryExecutor, QueryHandle
-from repro.service.service import _JOIN_METHODS
-from repro.service.session import Rows, Session, SessionConfig, coerce_rows
+from repro.service.session import (
+    JOIN_METHODS,
+    Rows,
+    Session,
+    SessionConfig,
+    coerce_rows,
+    resolve_session_config,
+)
 from repro.shard import transport
 from repro.shard.partitioning import ShardMap, time_range_map
 from repro.shard.transport import Channel, TransportError, transport_counters
@@ -389,28 +395,7 @@ class ShardedQueryService:
         """Open a session (same contract as the single-process service)."""
         if self._closed:
             raise ServiceError("service is closed")
-        if config is None:
-            config = SessionConfig(**overrides)
-        elif overrides:
-            config = dataclasses.replace(config, **overrides)
-        if config.execution is not None and config.execution not in ALL_EXECUTION_MODES:
-            raise ServiceError(
-                f"execution must be one of {ALL_EXECUTION_MODES}, "
-                f"got {config.execution!r}"
-            )
-        if config.method not in _JOIN_METHODS:
-            raise ServiceError(
-                f"method must be one of {_JOIN_METHODS}, got {config.method!r}"
-            )
-        if config.predicate is not None:
-            try:
-                resolve_predicate(config.predicate)
-            except ValueError as error:
-                raise ServiceError(str(error)) from None
-        if config.memory_pages is not None and config.memory_pages < 4:
-            raise ServiceError(
-                f"memory_pages must be >= 4, got {config.memory_pages}"
-            )
+        config = resolve_session_config(config, overrides)
         with self._sessions_lock:
             if len(self._sessions) >= self.max_sessions:
                 raise ServiceError(f"session limit of {self.max_sessions} reached")
@@ -454,9 +439,9 @@ class ShardedQueryService:
         if self._closed:
             raise ServiceError("service is closed")
         effective_method = method if method is not None else session.config.method
-        if effective_method not in _JOIN_METHODS:
+        if effective_method not in JOIN_METHODS:
             raise ServiceError(
-                f"method must be one of {_JOIN_METHODS}, got {effective_method!r}"
+                f"method must be one of {JOIN_METHODS}, got {effective_method!r}"
             )
         predicate = self._session_predicate(session)
         if predicate != NATURAL_PREDICATE:
@@ -499,6 +484,7 @@ class ShardedQueryService:
                 )
             if config.execution == "forward-sweep" and method == "partition":
                 method = "sweep"
+            handle.check_deadline()
             result = self._fan_out(
                 snapshot, outer, inner, method, config, predicate, handle
             )
@@ -508,6 +494,9 @@ class ShardedQueryService:
                 session_id=session.session_id,
                 query_id=handle.query_id,
             )
+        except QueryDeadlineError:
+            self._count_query("deadline", method)
+            raise
         except Exception:
             self._count_query("error", method)
             raise
@@ -558,13 +547,26 @@ class ShardedQueryService:
                     query_redispatches += self._recover(shard, needed, error)
                     dispatched.append(None)  # collect phase re-dispatches
             # Collect in rank order; a dead or hung shard rides the ladder.
+            # Past the deadline the remaining RESULT frames are still read
+            # and dropped, so no channel is left holding a stale answer.
+            expired: Optional[QueryDeadlineError] = None
             for shard in self._shards:
+                if expired is not None:
+                    if shard in dispatched and not shard.quarantined:
+                        self._drain(shard, needed)
+                    continue
                 meta, columns, redispatches = self._collect(
                     shard, needed, request, shard in dispatched
                 )
                 query_redispatches += redispatches
                 metas.append(meta)
                 columns_by_rank.append(columns)
+                try:
+                    handle.check_deadline()
+                except QueryDeadlineError as error:
+                    expired = error
+            if expired is not None:
+                raise expired
         return self._merge(
             outer, inner, epochs, snapshot.epoch, metas, columns_by_rank,
             query_redispatches,
@@ -626,6 +628,13 @@ class ShardedQueryService:
                         f"shard {shard.rank} exhausted "
                         f"{self.supervision.max_redispatches} re-dispatches: {error}",
                     )
+
+    def _drain(self, shard: _ShardHandle, needed) -> None:
+        """Read and drop the answer to an abandoned EXECUTE."""
+        try:
+            shard.channel.recv(timeout=self.supervision.lane_timeout_seconds)
+        except TransportError as error:
+            self._recover(shard, needed, error)
 
     def _recover(self, shard: _ShardHandle, needed, error: TransportError) -> int:
         """Respawn after a death/hang; returns 1 (one re-dispatch consumed)."""

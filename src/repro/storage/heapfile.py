@@ -193,7 +193,7 @@ class HeapFile:
     ) -> None:
         """Append pre-coded columnar rows, packing pages directly.
 
-        The zero-copy partitioner routes the source pages' columns here
+        The columnar partitioner routes the source pages' columns here
         without ever materializing tuple objects; the caller guarantees
         *codes* are valid in this file's dictionary (the partitioner shares
         the source relation's dictionary with its partitions, so source

@@ -6,6 +6,7 @@ crash points are all pure functions of it.  CI runs the suite under a small
 matrix of seeds; a failure reproduces locally with the same value.
 """
 
+import glob
 import os
 import random
 
@@ -20,13 +21,12 @@ CHAOS_SEED = int(os.environ.get("CHAOS_SEED", "0"))
 #: Small pages so modest relations still span many partitions.
 SPEC = PageSpec(page_bytes=256, tuple_bytes=32)
 
-EXECUTION_MODES = (
-    "tuple",
-    "batch",
-    "batch-parallel",
-    "batch-parallel-sweep",
-    "zero-copy-sweep",
-)
+EXECUTION_MODES = ("tuple", "batch", "batch-parallel-sweep")
+
+
+def shm_segments() -> set:
+    """The ``/dev/shm/repro_*`` entries as the OS lists them right now."""
+    return set(glob.glob("/dev/shm/repro_*"))
 
 
 def chaos_relation(name: str, n_tuples: int, seed: int) -> ValidTimeRelation:

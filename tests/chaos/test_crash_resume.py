@@ -29,21 +29,34 @@ S = chaos_relation("s", 400, CHAOS_SEED + 2)
 _ORACLES = {}
 
 
+def columnar(execution):
+    """The page layout :func:`partition_join` picks for *execution*."""
+    return execution == "batch-parallel-sweep"
+
+
 def oracle(execution):
     """The uninterrupted run each crashed run must reproduce exactly."""
     if execution not in _ORACLES:
         run = partition_join(
-            R, S, chaos_config(execution), layout=DiskLayout(spec=SPEC)
+            R,
+            S,
+            chaos_config(execution),
+            layout=DiskLayout(spec=SPEC, columnar=columnar(execution)),
         )
         _ORACLES[execution] = run
     return _ORACLES[execution]
 
 
-def crashing_layout(at_op=None):
+def crashing_layout(at_op=None, execution="tuple"):
     injector = FaultInjector(seed=CHAOS_SEED)
     if at_op is not None:
         injector.schedule_crash(at_op=at_op)
-    return DiskLayout(spec=SPEC, fault_injector=injector, checksums=True)
+    return DiskLayout(
+        spec=SPEC,
+        fault_injector=injector,
+        checksums=True,
+        columnar=columnar(execution),
+    )
 
 
 def assert_same_outcome(run, expected):
@@ -61,7 +74,7 @@ class TestCrashResume:
 
         # Probe run: same checkpointed configuration, injector attached but
         # no crash armed -- its operation count bounds the crash sweep.
-        probe_layout = crashing_layout()
+        probe_layout = crashing_layout(execution=execution)
         probe = partition_join(
             R, S, chaos_config(execution), layout=probe_layout, recovery=RecoveryLog()
         )
@@ -72,7 +85,7 @@ class TestCrashResume:
 
         stride = max(1, total_ops // 8)
         for k in range(1, total_ops + 1, stride):
-            layout = crashing_layout(at_op=k)
+            layout = crashing_layout(at_op=k, execution=execution)
             recovery = RecoveryLog()
             config = chaos_config(execution)
             try:
@@ -129,7 +142,7 @@ class TestPipelinedSweepCrash:
         execution = "batch-parallel-sweep"
         expected = oracle(execution)
 
-        probe_layout = crashing_layout()
+        probe_layout = crashing_layout(execution=execution)
         probe = partition_join(
             R, S, chaos_config(execution), layout=probe_layout, recovery=RecoveryLog()
         )
@@ -137,7 +150,7 @@ class TestPipelinedSweepCrash:
         total_ops = probe_layout.disk.fault_injector.ops_seen
 
         k = max(1, int(total_ops * fraction))
-        layout = crashing_layout(at_op=k)
+        layout = crashing_layout(at_op=k, execution=execution)
         recovery = RecoveryLog()
         config = chaos_config(execution)
         try:
@@ -173,11 +186,14 @@ class TestSwappedSinglePartitionResume:
     def test_resume_preserves_pair_orientation(self, execution):
         config = chaos_config(execution)
         expected = partition_join(
-            self.R_SMALL, self.S_SMALL, config, layout=DiskLayout(spec=SPEC)
+            self.R_SMALL,
+            self.S_SMALL,
+            config,
+            layout=DiskLayout(spec=SPEC, columnar=columnar(execution)),
         )
         assert expected.plan.num_partitions == 1
 
-        probe_layout = crashing_layout()
+        probe_layout = crashing_layout(execution=execution)
         probe = partition_join(
             self.R_SMALL,
             self.S_SMALL,
@@ -190,7 +206,7 @@ class TestSwappedSinglePartitionResume:
 
         stride = max(1, total_ops // 6)
         for k in range(1, total_ops + 1, stride):
-            layout = crashing_layout(at_op=k)
+            layout = crashing_layout(at_op=k, execution=execution)
             recovery = RecoveryLog()
             try:
                 run = partition_join(

@@ -1,13 +1,12 @@
-"""Chaos tests for lane supervision: kill, hang, and poison real workers.
+"""Chaos tests for lane supervision: kill and hang real workers.
 
-The acceptance contract under fire: a SIGKILLed lane, a hung lane, and a
-corrupted result slab must each recover through the supervisor's
-deterministic re-dispatch with results, ``JoinOutcome`` counters, and the
-full per-phase charged-I/O ledgers **bit-identical** to an undisturbed run
--- recovery visible only in ``lane-*`` degradation events and the
-supervisor's own ledger, never in the charged bill -- and with zero leaked
-shared-memory segments, in both pooled sweep modes and under concurrent
-service load.
+The acceptance contract under fire: a SIGKILLed lane and a hung lane must
+each recover through the supervisor's deterministic re-dispatch with
+results, ``JoinOutcome`` counters, and the full per-phase charged-I/O
+ledgers **bit-identical** to an undisturbed run -- recovery visible only in
+``lane-*`` degradation events and the supervisor's own ledger, never in the
+charged bill -- and with no ``/dev/shm/repro_*`` entry left behind, in the
+lane sweep and under concurrent service load.
 """
 
 import pytest
@@ -18,7 +17,13 @@ from repro.resilience import FaultInjector
 from repro.resilience.supervisor import clear_lane_injector, install_lane_injector
 from repro.storage.layout import DiskLayout
 
-from tests.chaos.conftest import CHAOS_SEED, SPEC, chaos_config, chaos_relation
+from tests.chaos.conftest import (
+    CHAOS_SEED,
+    SPEC,
+    chaos_config,
+    chaos_relation,
+    shm_segments,
+)
 
 pytestmark = pytest.mark.skipif(
     not HAVE_NUMPY, reason="lane pools only dispatch with numpy workers"
@@ -26,22 +31,21 @@ pytestmark = pytest.mark.skipif(
 
 if HAVE_NUMPY:
     from repro.exec import sweep_parallel as sweep
-    from repro.exec.arena import active_arena_count, reset_copy_counters
 
 R = chaos_relation("lr", 400, CHAOS_SEED + 21)
 S = chaos_relation("ls", 400, CHAOS_SEED + 22)
 
-#: Both pooled sweep modes must survive the same faults.
-POOLED_MODES = ("batch-parallel-sweep", "zero-copy-sweep")
+#: The pooled sweep modes, all of which must survive the same faults.
+POOLED_MODES = ("batch-parallel-sweep",)
 
 _BASELINES = {}
 
 
 @pytest.fixture(autouse=True)
 def no_leaked_segments():
-    reset_copy_counters()
+    before = shm_segments()
     yield
-    assert active_arena_count() == 0, "a join leaked a shared-memory segment"
+    assert shm_segments() - before == set(), "a join leaked a /dev/shm entry"
 
 
 @pytest.fixture
@@ -64,9 +68,7 @@ def pooled_config(execution, **overrides):
 def undisturbed(execution):
     """A memoized pooled-but-undisturbed run of *execution* (per process)."""
     if execution not in _BASELINES:
-        layout = DiskLayout(
-            spec=SPEC, columnar=(execution == "zero-copy-sweep")
-        )
+        layout = DiskLayout(spec=SPEC, columnar=True)
         _BASELINES[execution] = partition_join(
             R, S, pooled_config(execution), layout=layout
         )
@@ -74,11 +76,7 @@ def undisturbed(execution):
 
 
 def disturbed_layout(injector, execution):
-    return DiskLayout(
-        spec=SPEC,
-        fault_injector=injector,
-        columnar=(execution == "zero-copy-sweep"),
-    )
+    return DiskLayout(spec=SPEC, fault_injector=injector, columnar=True)
 
 
 def assert_bit_identical(run, expected):
@@ -139,20 +137,6 @@ class TestLaneHang:
         assert_bit_identical(run, undisturbed(execution))
 
 
-class TestSlabPoison:
-    def test_corrupted_slab_recomputes_bit_identical(self, forced_lanes):
-        """Zero-copy only: the CRC catches the scripted corruption and the
-        dispatcher recomputes the whole dispatch through pickling."""
-        injector = FaultInjector(seed=CHAOS_SEED)
-        injector.poison_slab(at_gather=1)
-        layout = disturbed_layout(injector, "zero-copy-sweep")
-        run = partition_join(
-            R, S, pooled_config("zero-copy-sweep"), layout=layout
-        )
-        assert "lane-poison" in lane_kinds(layout)
-        assert_bit_identical(run, undisturbed("zero-copy-sweep"))
-
-
 class TestQuarantineLadder:
     def test_repeated_death_quarantines_then_retires(self, forced_lanes):
         """Kills on consecutive dispatch attempts walk 3 lanes -> 2 -> 1:
@@ -160,12 +144,12 @@ class TestQuarantineLadder:
         injector = FaultInjector(seed=CHAOS_SEED)
         injector.kill_lane(at_dispatch=1)
         injector.kill_lane(at_dispatch=2)  # the re-dispatch of attempt 1
-        layout = disturbed_layout(injector, "zero-copy-sweep")
+        layout = disturbed_layout(injector, "batch-parallel-sweep")
         run = partition_join(
             R,
             S,
             pooled_config(
-                "zero-copy-sweep",
+                "batch-parallel-sweep",
                 sweep_workers=3,
                 lane_quarantine_after=1,
             ),
@@ -179,7 +163,7 @@ class TestQuarantineLadder:
             R,
             S,
             pooled_config(
-                "zero-copy-sweep", sweep_workers=3, lane_quarantine_after=1
+                "batch-parallel-sweep", sweep_workers=3, lane_quarantine_after=1
             ),
             layout=DiskLayout(spec=SPEC, columnar=True),
         )
@@ -206,7 +190,7 @@ class TestServiceUnderLaneChaos:
                     pool_pages=64,
                     memory_pages=8,
                     workers=3,
-                    execution="zero-copy-sweep",
+                    execution="batch-parallel-sweep",
                     page_spec=spec,
                     result_cache_entries=0,  # force every query to evaluate
                 ) as svc:
@@ -242,4 +226,80 @@ class TestServiceUnderLaneChaos:
             assert list(got.relation.tuples) == list(want.relation.tuples)
             assert outcome_counters(got.outcome) == outcome_counters(want.outcome)
             assert got.charged_ops == want.charged_ops
-        assert active_arena_count() == 0
+
+
+#: Runs in a fresh interpreter: a lane-sweep join on a real 2-lane pool
+#: with one lane SIGKILLed, then the OS's view of this process's children.
+_KILLED_LANE_SCRIPT = """
+import os, sys, time
+from repro.core.partition_join import partition_join
+from repro.exec import sweep_parallel as sweep
+from repro.resilience import FaultInjector
+from repro.storage.layout import DiskLayout
+from tests.chaos.conftest import CHAOS_SEED, SPEC, chaos_config, chaos_relation
+
+sweep.OVERSUBSCRIBE = True
+sweep.MIN_LANE_ROWS = 0
+injector = FaultInjector(seed=CHAOS_SEED)
+injector.kill_lane(at_dispatch=1)
+layout = DiskLayout(spec=SPEC, fault_injector=injector, columnar=True)
+run = partition_join(
+    chaos_relation("lr", 400, CHAOS_SEED + 21),
+    chaos_relation("ls", 400, CHAOS_SEED + 22),
+    chaos_config("batch-parallel-sweep", sweep_workers=2, lane_timeout_seconds=10.0),
+    layout=layout,
+)
+assert "lane-death" in [e.kind for e in layout.resilience_report.degradations]
+
+
+def children():
+    found = []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            try:
+                with open(f"/proc/{entry}/stat") as handle:
+                    stat = handle.read()
+            except OSError:
+                continue
+            if int(stat[stat.rfind(")") + 2 :].split()[1]) == os.getpid():
+                found.append(entry)
+    return found
+
+
+deadline = time.monotonic() + 10.0
+while children() and time.monotonic() < deadline:
+    time.sleep(0.05)
+print("children", len(children()), "results", run.outcome.n_result_tuples)
+"""
+
+
+class TestOsLevelHygiene:
+    def test_killed_lane_leaves_nothing_behind(self):
+        """As the OS sees it: a SIGKILLed lane leaves no child process, no
+        ``/dev/shm/repro_*`` entry, and not one byte on stderr."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        root = Path(__file__).resolve().parents[2]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(root / "src"), str(root)] + [p for p in [env.get("PYTHONPATH")] if p]
+        )
+        before = shm_segments()
+        done = subprocess.run(
+            [sys.executable, "-c", _KILLED_LANE_SCRIPT],
+            cwd=root,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == ""
+        assert done.stdout.split()[:2] == ["children", "0"]
+        assert int(done.stdout.split()[3]) == undisturbed(
+            "batch-parallel-sweep"
+        ).outcome.n_result_tuples
+        assert shm_segments() - before == set()

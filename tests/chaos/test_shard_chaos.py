@@ -8,9 +8,8 @@ The coordinator's supervision ladder under deliberate violence, seeded by
   result matches the undisturbed run tuple for tuple;
 * a worker armed to hang (the CHAOS frame sleeps it past the fragment
   deadline) rides the same ladder with ``kind="shard-hang"``;
-* nothing leaks: every socket channel deregisters and no shared-memory
-  arena segments survive a test (the PR-6 leak discipline, extended to
-  the shard transport).
+* nothing leaks: every socket channel deregisters and no
+  ``/dev/shm/repro_*`` entry survives a test, as the OS lists them.
 
 Quick single-shot tests run in tier-1; the seeded kill-matrix is
 ``shard_slow`` (the CI shard-stress job runs it under a seed matrix).
@@ -18,7 +17,6 @@ Quick single-shot tests run in tier-1; the seeded kill-matrix is
 
 from __future__ import annotations
 
-import glob
 import os
 import random
 import signal
@@ -26,14 +24,13 @@ import signal
 import pytest
 
 from repro.engine.catalog import VersionedCatalog
-from repro.exec.arena import active_arena_count
 from repro.model.schema import RelationSchema
 from repro.model.vtuple import VTTuple
 from repro.resilience.supervisor import SupervisionPolicy
 from repro.shard import ShardedQueryService, active_channel_count
 from repro.time.interval import Interval
 
-from tests.chaos.conftest import CHAOS_SEED
+from tests.chaos.conftest import CHAOS_SEED, shm_segments
 
 
 def shard_catalog(seed: int) -> VersionedCatalog:
@@ -74,13 +71,12 @@ def make_service(seed: int, *, shards: int = 2, timeout: float = 2.0):
 
 @pytest.fixture(autouse=True)
 def no_leaks():
-    """Every test must leave zero open channels and zero arena segments."""
+    """Every test must leave zero open channels and no new shm entries."""
     channels_before = active_channel_count()
-    shm_before = set(glob.glob("/dev/shm/repro_arena_*"))
+    shm_before = shm_segments()
     yield
     assert active_channel_count() == channels_before, "a test leaked a shard channel"
-    assert active_arena_count() == 0, "a test leaked a shared-memory segment"
-    leaked = set(glob.glob("/dev/shm/repro_arena_*")) - shm_before
+    leaked = shm_segments() - shm_before
     assert not leaked, f"leaked shm segments: {leaked}"
 
 
@@ -188,7 +184,7 @@ class TestSeededKillMatrix:
                         f"seed {CHAOS_SEED}, shards {shards}"
                     )
 
-    @pytest.mark.parametrize("execution", ("tuple", "zero-copy-sweep"))
+    @pytest.mark.parametrize("execution", ("tuple", "batch-parallel-sweep"))
     def test_kill_under_each_execution_mode(self, execution: str):
         with ShardedQueryService(
             shard_catalog(CHAOS_SEED + 7),

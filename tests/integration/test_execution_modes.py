@@ -1,8 +1,7 @@
 """Execution-mode equivalence: batch kernels vs the tuple-at-a-time oracle.
 
 The contract of the batch execution layer is *bit-identical observability*:
-for every scenario, ``execution="batch"`` and ``"batch-parallel"`` must
-reproduce the tuple-mode oracle's result relation (same tuples, same
+for every scenario, ``execution="batch"`` must reproduce the tuple-mode oracle's result relation (same tuples, same
 order), JoinOutcome counters, and per-phase I/O statistics exactly -- not
 approximately, not merely as multisets.  These tests drive the equivalence
 through the paths the unit tests cannot reach: the overflow/"thrashing"
@@ -20,12 +19,13 @@ from repro.baselines.nested_loop import nested_loop_join
 from repro.baselines.reference import reference_join
 from repro.core.partition_join import PartitionJoinConfig, partition_join
 from repro.exec.backend import HAVE_NUMPY
+from repro.storage.layout import DiskLayout
 from repro.storage.page import PageSpec
 from repro.time.allen import AllenRelation
 from repro.variants.partitioned import partitioned_predicate_join
 from tests.conftest import random_relation
 
-BATCH_MODES = ("batch", "batch-parallel")
+BATCH_MODES = ("batch",)
 BACKENDS = ["python"] + (["numpy"] if HAVE_NUMPY else [])
 
 
@@ -67,7 +67,7 @@ def observe(run):
 
 
 def run_modes(r, s, make_config, **join_kwargs):
-    """Run all three modes and assert batch modes equal the tuple oracle."""
+    """Run the tuple oracle and assert every batch mode equals it."""
     oracle = partition_join(r, s, make_config("tuple"), **join_kwargs)
     expected = observe(oracle)
     for mode in BATCH_MODES:
@@ -79,13 +79,9 @@ def run_modes(r, s, make_config, **join_kwargs):
 class TestSweepEquivalence:
     @pytest.mark.parametrize("direction", ["backward", "forward"])
     def test_partitioned_sweep_with_overflow(
-        self, schema_r, schema_s, backend, direction, monkeypatch
+        self, schema_r, schema_s, backend, direction
     ):
         """The thrashing path: a buffer too small for the partitions."""
-        import repro.exec.parallel as parallel_module
-
-        # Force batch-parallel through the real process pool even at test sizes.
-        monkeypatch.setattr(parallel_module, "MIN_PARALLEL_TUPLES", 0)
         r = random_relation(schema_r, 700, seed=11, n_keys=18)
         s = random_relation(schema_s, 800, seed=12, n_keys=18)
 
@@ -94,7 +90,6 @@ class TestSweepEquivalence:
                 memory_pages=12,
                 sweep_direction=direction,
                 execution=mode,
-                parallel_workers=2,
             )
 
         oracle = run_modes(r, s, make_config)
@@ -112,7 +107,6 @@ class TestSweepEquivalence:
                 sweep_direction=direction,
                 cache_buffer_pages=2,
                 execution=mode,
-                parallel_workers=2,
             )
 
         oracle = run_modes(r, s, make_config)
@@ -269,11 +263,11 @@ class TestPipelinedSweepEquivalence:
 
 
 class TestZeroCopySweepEquivalence:
-    """``"zero-copy-sweep"``: the columnar page layout and shared-memory
-    fan-out are pure mechanism.  The mode's every observable -- including
-    the full random/sequential breakdown per phase -- must equal
-    ``"batch-parallel-sweep"`` exactly, and its relationship to the tuple
-    oracle is exactly the pipelined contract (same op counts, never
+    """``"batch-parallel-sweep"`` stores its inputs as columnar pages and
+    probes zero-copy column views.  The layout is pure mechanism: every
+    observable -- including the full random/sequential breakdown per phase
+    -- equals the same mode over row pages, and its relationship to the
+    tuple oracle is exactly the pipelined contract (same op counts, never
     costlier)."""
 
     @pytest.mark.parametrize("direction", ["backward", "forward"])
@@ -282,16 +276,14 @@ class TestZeroCopySweepEquivalence:
     ):
         r = random_relation(schema_r, 700, seed=11, n_keys=18)
         s = random_relation(schema_s, 800, seed=12, n_keys=18)
-
-        def make_config(mode):
-            return PartitionJoinConfig(
-                memory_pages=12, sweep_direction=direction, execution=mode
-            )
-
-        pipelined = partition_join(r, s, make_config("batch-parallel-sweep"))
-        zero_copy = partition_join(r, s, make_config("zero-copy-sweep"))
-        assert pipelined.outcome.overflow_blocks > 0  # the thrashing path
-        assert observe(zero_copy) == observe(pipelined)
+        config = PartitionJoinConfig(
+            memory_pages=12, sweep_direction=direction, execution="batch-parallel-sweep"
+        )
+        rows = partition_join(r, s, config, layout=DiskLayout(columnar=False))
+        columnar = partition_join(r, s, config)
+        assert columnar.layout.columnar and not rows.layout.columnar
+        assert rows.outcome.overflow_blocks > 0  # the thrashing path
+        assert observe(columnar) == observe(rows)
 
     def test_op_counts_equal_tuple_oracle(self, schema_r, schema_s, backend):
         r = random_relation(schema_r, 500, seed=21, long_lived_fraction=0.6)
@@ -303,7 +295,7 @@ class TestZeroCopySweepEquivalence:
             )
 
         oracle = partition_join(r, s, make_config("tuple"))
-        run = partition_join(r, s, make_config("zero-copy-sweep"))
+        run = partition_join(r, s, make_config("batch-parallel-sweep"))
         observe_counts = TestPipelinedSweepEquivalence.observe_counts
         assert observe_counts(run) == observe_counts(oracle)
         cost_model = make_config("tuple").cost_model
@@ -320,7 +312,7 @@ class TestZeroCopySweepEquivalence:
         r = random_relation(schema_r, 200, seed=31)
         s = random_relation(schema_s, 200, seed=32)
         run = partition_join(
-            r, s, PartitionJoinConfig(memory_pages=10, execution="zero-copy-sweep")
+            r, s, PartitionJoinConfig(memory_pages=10, execution="batch-parallel-sweep")
         )
         assert run.layout.columnar
         # Any file written through this layout packs columnar pages.
@@ -344,7 +336,6 @@ class TestVariantsAndBaselines:
                 partitioned_predicate_join(r, s, config, accepted)
             )
         assert runs["batch"] == runs["tuple"]
-        assert runs["batch-parallel"] == runs["tuple"]
 
     def test_nested_loop_batch_equivalence(self, schema_r, schema_s, backend):
         r = random_relation(schema_r, 300, seed=61)
@@ -367,10 +358,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             PartitionJoinConfig(memory_pages=8, execution="gpu")
 
-    @pytest.mark.parametrize("workers", [0, -2])
-    def test_nonpositive_workers_rejected(self, workers):
+    @pytest.mark.parametrize("mode", ["batch-parallel", "zero-copy-sweep"])
+    def test_removed_modes_rejected(self, mode):
         with pytest.raises(ValueError):
-            PartitionJoinConfig(memory_pages=8, parallel_workers=workers)
+            PartitionJoinConfig(memory_pages=8, execution=mode)
 
     @pytest.mark.parametrize("depth", [-1, 2.5])
     def test_bad_prefetch_depth_rejected(self, depth):

@@ -167,7 +167,7 @@ def lane_service(**overrides):
         pool_pages=64,
         memory_pages=8,
         workers=2,
-        execution="zero-copy-sweep",
+        execution="batch-parallel-sweep",
         page_spec=PageSpec(page_bytes=256, tuple_bytes=32),
     )
     kwargs.update(overrides)

@@ -13,8 +13,9 @@ from __future__ import annotations
 import pytest
 
 from repro.engine.catalog import VersionedCatalog
-from repro.model.errors import ServiceError
+from repro.model.errors import QueryDeadlineError, ServiceError
 from repro.service import QueryService
+from repro.service.executor import QueryHandle
 from repro.shard import ShardedQueryService, active_channel_count
 from repro.storage.iostats import IOStatistics
 
@@ -65,6 +66,18 @@ class TestBitIdentity:
         base = single_process_result(method=method)
         with sharded.open_session() as session:
             result = session.join("r", "s", method=method)
+        assert canonical(result.relation) == canonical(base.relation)
+        assert result.outcome.n_result_tuples == base.outcome.n_result_tuples
+
+    def test_lane_mode_runs_inside_shard_workers(self):
+        """Shard workers are daemonic and may not fork lane pools; the lane
+        sweep must run its lanes in-process there, not fail the query."""
+        base = single_process_result()
+        with ShardedQueryService(
+            make_catalog(), shards=2, pool_pages=32, execution="batch-parallel-sweep"
+        ) as svc:
+            with svc.open_session() as session:
+                result = session.join("r", "s", method="partition")
         assert canonical(result.relation) == canonical(base.relation)
         assert result.outcome.n_result_tuples == base.outcome.n_result_tuples
 
@@ -170,6 +183,48 @@ class TestTopology:
             ShardedQueryService(make_catalog(), shards=2, execution="warp")
         with pytest.raises(ServiceError):
             ShardedQueryService(make_catalog(), shards=2, memory_pages=2)
+
+
+class TestDeadlines:
+    """Sessions on the sharded service honour the same deadline budget as
+    on :class:`QueryService`."""
+
+    @pytest.mark.parametrize("deadline", [0.0, -1.0])
+    def test_nonpositive_deadline_is_refused(self, sharded, deadline):
+        with pytest.raises(ServiceError):
+            sharded.open_session(deadline_seconds=deadline)
+
+    def test_expired_deadline_raises_and_is_counted(self, sharded):
+        with sharded.open_session(deadline_seconds=1e-6) as session:
+            with pytest.raises(QueryDeadlineError):
+                session.join("r", "s")
+        series = sharded.metrics_snapshot()["repro_shard_queries_total"]["series"]
+        assert sum(n for key, n in series.items() if "status=deadline" in key) == 1
+
+    def test_deadline_after_first_shard_keeps_channels_in_step(
+        self, sharded, monkeypatch
+    ):
+        """A deadline that expires once shard 0 has answered abandons the
+        query; shard 1's answer is drained, so the next query reads its own
+        results and still matches the single-process service."""
+        base = single_process_result()
+        checks = []
+        original = QueryHandle.check_deadline
+
+        def expire_on_second_check(handle):
+            checks.append(handle.query_id)
+            if len(checks) == 2:
+                raise QueryDeadlineError("deadline expired after shard 0")
+            original(handle)
+
+        monkeypatch.setattr(QueryHandle, "check_deadline", expire_on_second_check)
+        with sharded.open_session() as session:
+            with pytest.raises(QueryDeadlineError):
+                session.join("r", "s", method="partition")
+            result = session.join("r", "s", method="partition")
+        assert canonical(result.relation) == canonical(base.relation)
+        assert outcome_counters(result.outcome)[0] == base.outcome.n_result_tuples
+        assert result.redispatches == 0
 
 
 class TestFacadeWiring:

@@ -41,9 +41,9 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="execution must be"):
             PartitionJoinConfig(memory_pages=8, execution="vectorized")
 
-    def test_parallel_workers_validated(self):
-        with pytest.raises(ValueError, match="parallel_workers"):
-            PartitionJoinConfig(memory_pages=8, parallel_workers=0)
+    def test_parallel_workers_field_removed(self):
+        with pytest.raises(TypeError, match="parallel_workers"):
+            PartitionJoinConfig(memory_pages=8, parallel_workers=2)
 
     def test_checkpoint_interval_validated(self):
         with pytest.raises(ValueError, match="checkpoint_interval"):

@@ -10,8 +10,7 @@ import pytest
 
 from repro.core.intervals import PartitionMap
 from repro.exec.backend import HAVE_NUMPY
-from repro.exec.kernels import PythonKernels, get_kernels
-from repro.exec.parallel import locate_partitions_parallel
+from repro.exec.kernels import get_kernels
 from repro.model.vtuple import VTTuple
 from repro.time.interval import Interval
 
@@ -147,25 +146,47 @@ class TestMigrationAndLocate:
         assert kernels.locate([], kernels.prepare_boundaries(pmap)) == []
 
 
-class TestParallelLocate:
+class TestColumnarLocate:
+    """Grace placement of the batch modes over a columnar source: per-page
+    locate, rows routed as column entries."""
+
+    @staticmethod
+    def partitions(source_layout, execution, placement, pmap, tuples):
+        from repro.core.partitioner import do_partitioning
+        from repro.model.relation import ValidTimeRelation
+        from repro.model.schema import RelationSchema
+
+        schema = RelationSchema("r", ("k",), ("a",), tuple_bytes=32)
+        source = source_layout.place_relation(ValidTimeRelation(schema, tuples))
+        parts = do_partitioning(
+            source, pmap, source_layout, "r", 4, placement=placement,
+            execution=execution,
+        )
+        return [list(part.all_tuples()) for part in parts]
+
     def test_matches_serial_for_both_placements(self, pmap):
-        spans = [(i % 37, (i % 37) + (i % 11)) for i in range(5000)]
-        ends = [interval.end for interval in pmap.intervals]
-        serial = PythonKernels()
-        for placement, chronon in (("last", 1), ("first", 0)):
-            expect = [
-                pmap.index_of_chronon(span[chronon])
-                for span in spans
-            ]
-            got = locate_partitions_parallel(spans, ends, placement, workers=2)
-            in_process = locate_partitions_parallel(
-                spans, ends, placement, workers=1, kernels=serial
-            )
-            assert got == expect == in_process
+        from repro.storage.layout import DiskLayout
+        from repro.storage.page import PageSpec
+
+        spec = PageSpec(page_bytes=256, tuple_bytes=32)
+        tuples = [vt(f"k{i % 7}", i % 37, (i % 37) + (i % 11), f"p{i}") for i in range(500)]
+        for placement in ("last", "first"):
+            serial = DiskLayout(spec=spec)
+            want = self.partitions(serial, "tuple", placement, pmap, tuples)
+            for execution in ("batch", "batch-parallel-sweep"):
+                columnar = DiskLayout(spec=spec, columnar=True)
+                got = self.partitions(columnar, execution, placement, pmap, tuples)
+                assert got == want
+                assert columnar.tracker.stats.as_dict() == serial.tracker.stats.as_dict()
 
     def test_rejects_bad_placement(self, pmap):
-        with pytest.raises(ValueError):
-            locate_partitions_parallel([], [9], "middle")
+        from repro.model.errors import PlanError
+        from repro.storage.layout import DiskLayout
+
+        with pytest.raises(PlanError):
+            self.partitions(
+                DiskLayout(columnar=True), "batch-parallel-sweep", "middle", pmap, []
+            )
 
 
 @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
